@@ -1,9 +1,15 @@
-"""Crash-safe campaigns: checkpoint manifests and graceful shutdown.
+"""Campaign execution: the one job loop, checkpoints, graceful shutdown.
 
 A *campaign* is any long multi-trial driver — a spec batch, a grid, a
-population sweep, a Theorem 1 portfolio run.  PR 3 made the individual
-trials fault-tolerant; this module makes the campaign itself survive
-process death:
+population sweep, a Theorem 1 portfolio run.  Every one of them runs its
+jobs through the same loop, :func:`run_checkpointed_jobs`: submit the
+jobs, run them through one :class:`~repro.experiments.pool.TrialPool`
+(fail-fast ``map`` or fault-tolerant ``map_outcomes``), checkpoint, and
+drain on shutdown.  The drivers differ only in their jobs and in where
+results live — in the manifest (``sweep_gossip``, ``run_theorem1``,
+store-less batches) or in an artifact store, with the manifest tracking
+membership and progress (``execute_batch`` with a store, ``GridRunner``
+and its cell logs).  Around the loop:
 
 * :class:`CampaignManifest` — a small JSON checkpoint, atomically
   replaced on a configurable cadence, recording every **submitted** job
@@ -19,12 +25,6 @@ process death:
   :class:`CampaignDrained` and the CLI exits with
   :data:`DRAIN_EXIT_CODE` so wrappers can distinguish "interrupted but
   resumable" from failure.
-* :func:`run_checkpointed_jobs` — the one checkpointed execution loop
-  behind ``sweep_gossip`` and ``run_theorem1`` (store-less drivers whose
-  results live in the manifest), and :func:`run_manifest_batch` — its
-  sibling for :func:`repro.store.execute_batch`, where the
-  :class:`~repro.store.RunStore` is the source of truth for results and
-  the manifest tracks membership and progress.
 
 The manifest write discipline matches the store's: serialize to a
 temporary file, fsync, ``os.replace`` — a crash leaves either the old
@@ -37,15 +37,9 @@ import json
 import os
 import signal
 import sys
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from .pool import TrialOutcome
 
 __all__ = [
     "CampaignDrained",
@@ -56,7 +50,6 @@ __all__ = [
     "MAX_FAILURE_CHARS",
     "job_key",
     "run_checkpointed_jobs",
-    "run_manifest_batch",
     "truncate_error",
     "validate_checkpoint_every",
 ]
@@ -355,15 +348,11 @@ class GracefulShutdown:
         self._previous.clear()
 
 
-def _chunks(items: Sequence[Any], size: int) -> Iterable[Sequence[Any]]:
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
-
-
-def _drain(manifest: CampaignManifest, store: Any = None) -> None:
+def _drain(manifest: CampaignManifest,
+           sync: Optional[Callable[[], None]] = None) -> None:
     """Common drain tail: flush artifacts, checkpoint, raise."""
-    if store is not None:
-        store.sync()
+    if sync is not None:
+        sync()
     manifest.drained = True
     manifest.save()
     raise CampaignDrained(manifest)
@@ -373,223 +362,149 @@ def run_checkpointed_jobs(
     jobs: Sequence[Any],
     job_fn: Callable[[Any], Any],
     *,
-    manifest: Any,
+    keys: Optional[Sequence[str]] = None,
+    manifest: Any = None,
     meta: Optional[Dict[str, Any]] = None,
     encode: Optional[Callable[[Any], Any]] = None,
     decode: Optional[Callable[[Any], Any]] = None,
+    done: Optional[Callable[[int], bool]] = None,
+    sink: Optional[Callable[[int, Any], None]] = None,
+    sync: Optional[Callable[[], None]] = None,
+    fault_tolerant: bool = False,
     checkpoint_every: int = 8,
     shutdown: Optional[Callable[[], bool]] = None,
     processes: int = 1,
     trial_timeout: Optional[float] = None,
     retries: int = 0,
-) -> List[Optional[Any]]:
-    """Run ``job_fn`` over ``jobs`` with manifest checkpointing.
+) -> List[TrialOutcome]:
+    """Run ``job_fn`` over ``jobs``: the one job loop of every driver.
 
-    The execution loop behind the store-less drivers: each job is keyed
-    by :func:`job_key` of its arguments, results are JSON-encoded via
-    ``encode`` into the manifest (and revived via ``decode`` on resume),
-    and the manifest is atomically rewritten after every chunk — at
-    least every ``checkpoint_every`` completions.  Jobs already
-    completed in the manifest never re-execute; failed jobs are recorded
-    and retried on the next run.  Returns one result per job in
-    submission order (``None`` for jobs that failed under the
-    fault-tolerant mode), exactly what an unchunked
-    :meth:`~repro.experiments.pool.TrialPool.map` would have produced.
+    Each job is identified by its entry in ``keys`` (default
+    :func:`job_key` of the job); jobs sharing a key execute once.
+    Returns one :class:`~repro.experiments.pool.TrialOutcome` per job,
+    in job order.  A job that was already done — ``done(index)`` holds,
+    or the manifest completed it — is not run and comes back ``ok`` with
+    ``attempts == 0``.
 
-    ``shutdown`` truthy between chunks (or mid-chunk, via the pool's
-    ``stop_check``) drains: in-flight trials finish, the checkpoint is
-    written, and :class:`CampaignDrained` propagates to the caller.
+    Execution mode:
+
+    * **plain** (no ``manifest``, no ``trial_timeout``, no ``retries``,
+      not ``fault_tolerant``): one fail-fast
+      :meth:`~repro.experiments.pool.TrialPool.map` over every pending
+      job — the first job exception propagates;
+    * **fault-tolerant** (``trial_timeout``, ``retries`` or
+      ``fault_tolerant``): :meth:`~repro.experiments.pool.TrialPool.
+      map_outcomes`, so a job that hangs, raises or kills its worker
+      comes back ``failed``/``timed-out`` instead of aborting the rest;
+    * **checkpointed** (``manifest``, a path or a
+      :class:`CampaignManifest`): pending jobs run in chunks of
+      ``max(checkpoint_every, processes)``, and the manifest — every
+      submitted job, the completed and failed keys, and ``meta`` (for a
+      fresh manifest) — is atomically rewritten after each chunk.  Jobs
+      completed in the manifest never re-execute; failed jobs stay
+      missing and run again on the next call.
+
+    Results live in one of two places.  A store-backed caller passes
+    ``done`` (is job ``index`` already stored?) and ``sink`` (store job
+    ``index``'s value), called as each chunk lands: manifest completions
+    then carry no payload, and on resume every stored job is back-filled
+    into the manifest.  Without a ``sink``, results are kept in the
+    manifest as ``encode(value)`` and revived with ``decode``; fresh
+    results take the same encode → JSON → decode trip, so resumed and
+    uninterrupted runs return identical shapes.
+
+    ``shutdown`` (needs a ``manifest``) is polled between chunks and,
+    through the pool's ``stop_check``, between jobs: once truthy,
+    in-flight jobs finish, ``sync`` flushes the caller's store, the
+    checkpoint is written, and :class:`CampaignDrained` propagates.
     """
-    from .pool import TrialPool
+    from .pool import CANCELLED, OK, TrialPool
 
+    if shutdown is not None and manifest is None:
+        raise ValueError(
+            "a shutdown hook needs a manifest (path or CampaignManifest) "
+            "to checkpoint into"
+        )
     encode = encode or (lambda value: value)
     decode = decode or (lambda value: value)
-
-    def normalize(value: Any) -> Any:
-        # Fresh results take the same encode → JSON → decode round-trip
-        # a resumed result takes through the manifest, so resumed and
-        # uninterrupted runs return identical shapes (tuples/dict keys
-        # are JSON-coerced either way).
-        return decode(json.loads(json.dumps(encode(value), default=str)))
-
-    manifest = CampaignManifest.ensure(
-        manifest, meta=meta, checkpoint_every=checkpoint_every
-    )
-    manifest.drained = False
     jobs = list(jobs)
-    keys = [job_key(job) for job in jobs]
-    for key, job in zip(keys, jobs):
-        manifest.submit(key, json.loads(job_key(job)))
+    keys = list(keys) if keys is not None else [job_key(job) for job in jobs]
+    if manifest is not None:
+        manifest = CampaignManifest.ensure(
+            manifest, meta=meta, checkpoint_every=checkpoint_every
+        )
+        manifest.drained = False
+        for key, job in zip(keys, jobs):
+            manifest.submit(key, json.loads(job_key(job)))
 
-    results: Dict[str, Any] = {
-        key: decode(manifest.completed[key])
-        for key in keys if key in manifest.completed
-    }
-    pending = [
-        (key, job) for key, job in zip(keys, jobs)
-        if key not in results
-    ]
-    # Dedupe identical jobs within the batch (same key ⇒ same result).
-    unique: Dict[str, Any] = {}
-    for key, job in pending:
-        unique.setdefault(key, job)
-    pending = list(unique.items())
+    outcomes: Dict[str, TrialOutcome] = {}
+    pending: Dict[str, int] = {}
+    for index, key in enumerate(keys):
+        if key in outcomes or key in pending:
+            continue
+        if done is not None and done(index):
+            if manifest is not None:
+                # Back-fill jobs that reached the store before a crash
+                # could checkpoint them.
+                manifest.complete(key)
+            outcomes[key] = TrialOutcome(index, OK, attempts=0)
+        elif (done is None and manifest is not None
+              and key in manifest.completed):
+            outcomes[key] = TrialOutcome(
+                index, OK, decode(manifest.completed[key]), attempts=0
+            )
+        else:
+            pending[key] = index
 
-    fault_tolerant = trial_timeout is not None or retries > 0
-    chunk_size = max(manifest.checkpoint_every, processes)
-    failed: Dict[str, str] = {}
-    if pending:
+    tolerant = fault_tolerant or trial_timeout is not None or retries > 0
+    work = list(pending.items())
+    chunk_size = (
+        max(manifest.checkpoint_every, processes)
+        if manifest is not None else max(1, len(work))
+    )
+    if work:
         with TrialPool(processes) as pool:
-            for chunk in _chunks(pending, chunk_size):
+            for start in range(0, len(work), chunk_size):
                 if shutdown is not None and shutdown():
-                    _drain(manifest)
-                chunk_jobs = [job for _key, job in chunk]
-                if fault_tolerant:
-                    outcomes = pool.map_outcomes(
+                    _drain(manifest, sync)
+                chunk = work[start:start + chunk_size]
+                chunk_jobs = [jobs[index] for _key, index in chunk]
+                if tolerant:
+                    landed = pool.map_outcomes(
                         job_fn, chunk_jobs, timeout=trial_timeout,
                         retries=retries, stop_check=shutdown,
                     )
-                    cancelled = False
-                    for (key, _job), outcome in zip(chunk, outcomes):
-                        if outcome.ok:
-                            manifest.complete(key, encode(outcome.value))
-                            results[key] = normalize(outcome.value)
-                        elif outcome.status == "cancelled":
-                            cancelled = True
-                        else:
+                else:
+                    landed = [
+                        TrialOutcome(index, OK, value)
+                        for index, value in enumerate(
+                            pool.map(job_fn, chunk_jobs))
+                    ]
+                cancelled = False
+                for (key, index), outcome in zip(chunk, landed):
+                    outcome.index = index
+                    if outcome.status == CANCELLED:
+                        cancelled = True
+                        continue
+                    outcomes[key] = outcome
+                    if not outcome.ok:
+                        if manifest is not None:
                             manifest.fail(key, outcome.error or "failed")
-                            failed[key] = outcome.error or "failed"
+                    elif sink is not None:
+                        sink(index, outcome.value)
+                        if manifest is not None:
+                            manifest.complete(key)
+                    elif manifest is not None:
+                        encoded = encode(outcome.value)
+                        manifest.complete(key, encoded)
+                        outcome.value = decode(json.loads(
+                            json.dumps(encoded, default=str)))
+                if manifest is not None:
                     manifest.maybe_save()
-                    if cancelled:
-                        _drain(manifest)
-                else:
-                    values = pool.map(job_fn, chunk_jobs)
-                    for (key, _job), value in zip(chunk, values):
-                        manifest.complete(key, encode(value))
-                        results[key] = normalize(value)
-                    manifest.maybe_save()
-    manifest.maybe_save(force=True)
-    if shutdown is not None and shutdown():
-        _drain(manifest)
-    return [results.get(key) for key in keys]
-
-
-def run_manifest_batch(
-    specs: Sequence[Any],
-    store: Any = None,
-    processes: int = 1,
-    trial_timeout: Optional[float] = None,
-    retries: int = 0,
-    manifest: Any = None,
-    checkpoint_every: int = 8,
-    shutdown: Optional[Callable[[], bool]] = None,
-) -> List[Dict[str, Any]]:
-    """Checkpointed sibling of :func:`repro.store.execute_batch`.
-
-    Jobs are :class:`~repro.spec.runspec.RunSpec` executions keyed by
-    spec hash.  With a store, the store holds the results (the manifest
-    records membership and progress, and completions carry no payload);
-    without one, realized metrics live in the manifest itself, so the
-    batch is still resumable.  Either way the resume set is exactly the
-    submitted-but-not-completed (or failed) spec hashes — seed for seed,
-    because the spec hash pins the seed.
-    """
-    from ..store import make_record
-    from ..store.batch import _spec_job, failed_record
-    from .pool import TrialPool
-
-    specs = list(specs)
-    rng_provenance = sorted({spec.seed for spec in specs})
-    if manifest is None:
-        raise ValueError(
-            "run_manifest_batch needs a manifest (path or "
-            "CampaignManifest); use execute_batch for unmanifested runs"
-        )
-    manifest = CampaignManifest.ensure(
-        manifest,
-        meta={
-            "driver": "execute_batch",
-            "specs": len(specs),
-            "rng": {"seeds": rng_provenance},
-        },
-        checkpoint_every=checkpoint_every,
-    )
-    manifest.drained = False
-    for spec in specs:
-        manifest.submit(spec.spec_hash, spec.to_dict())
-
-    def stored(spec_hash: str) -> bool:
-        if store is not None:
-            return spec_hash in store
-        return spec_hash in manifest.completed
-
-    pending: Dict[str, Any] = {}
-    for spec in specs:
-        if not stored(spec.spec_hash):
-            pending.setdefault(spec.spec_hash, spec)
-        elif store is not None:
-            # Back-fill manifest state for records that reached the
-            # store before a crash could checkpoint them.
-            manifest.complete(spec.spec_hash)
-
-    fault_tolerant = trial_timeout is not None or retries > 0
-    chunk_size = max(manifest.checkpoint_every, processes)
-    failures: Dict[str, Dict[str, Any]] = {}
-    pending_specs = list(pending.values())
-    if pending_specs:
-        with TrialPool(processes) as pool:
-            for chunk in _chunks(pending_specs, chunk_size):
-                if shutdown is not None and shutdown():
-                    _drain(manifest, store)
-                chunk_jobs = [spec.to_dict() for spec in chunk]
-                if fault_tolerant:
-                    outcomes = pool.map_outcomes(
-                        _spec_job, chunk_jobs, timeout=trial_timeout,
-                        retries=retries, stop_check=shutdown,
-                    )
-                    cancelled = False
-                    for spec, outcome in zip(chunk, outcomes):
-                        if outcome.ok:
-                            if store is not None:
-                                store.put(spec, outcome.value)
-                                manifest.complete(spec.spec_hash)
-                            else:
-                                manifest.complete(
-                                    spec.spec_hash, outcome.value
-                                )
-                        elif outcome.status == "cancelled":
-                            cancelled = True
-                        else:
-                            failures[spec.spec_hash] = failed_record(
-                                spec, outcome
-                            )
-                            manifest.fail(
-                                spec.spec_hash, outcome.error or "failed"
-                            )
-                    manifest.maybe_save()
-                    if cancelled:
-                        _drain(manifest, store)
-                else:
-                    values = pool.map(_spec_job, chunk_jobs)
-                    for spec, metrics in zip(chunk, values):
-                        if store is not None:
-                            store.put(spec, metrics)
-                            manifest.complete(spec.spec_hash)
-                        else:
-                            manifest.complete(spec.spec_hash, metrics)
-                    manifest.maybe_save()
-    manifest.maybe_save(force=True)
-    if shutdown is not None and shutdown():
-        _drain(manifest, store)
-
-    def record_for(spec: Any) -> Dict[str, Any]:
-        if store is not None:
-            record = store.get(spec.spec_hash)
-            if record is not None:
-                return record
-            return failures[spec.spec_hash]
-        if spec.spec_hash in failures:
-            return failures[spec.spec_hash]
-        return make_record(spec, manifest.completed[spec.spec_hash])
-
-    return [record_for(spec) for spec in specs]
+                if cancelled:
+                    _drain(manifest, sync)
+    if manifest is not None:
+        manifest.maybe_save(force=True)
+        if shutdown is not None and shutdown():
+            _drain(manifest, sync)
+    return [outcomes[key] for key in keys]

@@ -2,9 +2,12 @@
 
 Every sweep-shaped driver in the repository — :class:`GridRunner` cells,
 :func:`repro.workloads.sweeps.sweep_gossip` points, the per-seed Theorem 1
-executions, the lower-bound adversary's Monte-Carlo clone batch — has the
-same shape: a list of independent jobs whose results are combined in job
-order. :class:`TrialPool` is the one implementation of that shape:
+executions, spec batches, the lower-bound adversary's Monte-Carlo clone
+batch — has the same shape: a list of independent jobs whose results are
+combined in job order. :class:`TrialPool` is the one implementation of
+that shape.  The campaign drivers reach it through one job loop,
+:func:`repro.experiments.campaign.run_checkpointed_jobs`, which picks
+``map`` or ``map_outcomes`` and adds checkpointing and drain on top:
 
 * ``processes=1`` (the default) runs jobs inline, with zero setup cost and
   full determinism — results are bit-identical to a plain loop;

@@ -35,7 +35,7 @@ from typing import (
 from ..adversary.lower_bound import LowerBoundReport, run_lower_bound
 from ..analysis.stats import success_rate, summarize
 from ..analysis.tables import render_table
-from .pool import TrialPool
+from .campaign import run_checkpointed_jobs
 from ..core.ears import Ears
 from ..core.sears import Sears
 from ..core.sparse import SparseGossip
@@ -156,8 +156,8 @@ def run_theorem1(
     report is persisted to a
     :class:`~repro.experiments.campaign.CampaignManifest` as it lands,
     so a killed run resumes seed-for-seed, re-executing only the missing
-    pairs.  ``shutdown`` drains on a graceful-stop request
-    (:class:`~repro.experiments.campaign.CampaignDrained`).
+    pairs.  ``shutdown`` (needs a ``manifest``) drains on a graceful-stop
+    request (:class:`~repro.experiments.campaign.CampaignDrained`).
     """
     names = list(algorithms) if algorithms else list(PORTFOLIO)
     seeds = list(seeds)
@@ -166,41 +166,23 @@ def run_theorem1(
          slow_quiesce_threshold)
         for name in names for seed in seeds
     ]
-    if manifest is not None or shutdown is not None:
-        from .campaign import run_checkpointed_jobs
-
-        if manifest is None:
-            raise ValueError(
-                "run_theorem1 with a shutdown hook needs a manifest to "
-                "checkpoint into"
-            )
-        all_reports = run_checkpointed_jobs(
-            jobs, _theorem1_job,
-            manifest=manifest,
-            meta={
-                "driver": "theorem1",
-                "algorithms": names,
-                "n": n, "f": f,
-                "rng": {"seeds": seeds},
-            },
-            encode=_encode_report, decode=_decode_report,
-            checkpoint_every=checkpoint_every, shutdown=shutdown,
-            processes=processes, trial_timeout=trial_timeout,
-            retries=retries,
-        )
-    else:
-        with TrialPool(processes) as pool:
-            if trial_timeout is not None or retries:
-                outcomes = pool.map_outcomes(
-                    _theorem1_job, jobs, timeout=trial_timeout,
-                    retries=retries,
-                )
-                all_reports = [
-                    outcome.value if outcome.ok else None
-                    for outcome in outcomes
-                ]
-            else:
-                all_reports = pool.map(_theorem1_job, jobs)
+    outcomes = run_checkpointed_jobs(
+        jobs, _theorem1_job,
+        manifest=manifest,
+        meta={
+            "driver": "theorem1",
+            "algorithms": names,
+            "n": n, "f": f,
+            "rng": {"seeds": seeds},
+        },
+        encode=_encode_report, decode=_decode_report,
+        checkpoint_every=checkpoint_every, shutdown=shutdown,
+        processes=processes, trial_timeout=trial_timeout,
+        retries=retries,
+    )
+    all_reports = [
+        outcome.value if outcome.ok else None for outcome in outcomes
+    ]
     rows = []
     for index, name in enumerate(names):
         reports = [

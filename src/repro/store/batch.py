@@ -2,10 +2,12 @@
 
 The execution layer of the store package: every entry point takes any
 :class:`~repro.store.base.Store` backend and treats a stored spec hash
-as a cache hit that runs no simulation.  Moved verbatim from the
-pre-package ``repro.store`` module; tests monkeypatch
-``repro.store.batch.execute`` / ``repro.store.batch._spec_job`` to
-assert cache-hit behavior.
+as a cache hit that runs no simulation.  Batches execute through the
+one campaign job loop,
+:func:`~repro.experiments.campaign.run_checkpointed_jobs`.  ``execute``,
+the job functions ``_spec_job`` and ``_batch_job``, and ``metrics_of``
+are looked up at call time, so tests and tracers can monkeypatch them
+on this module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .base import Store, make_record, metrics_of
 
 __all__ = [
     "execute_batch",
-    "execute_batch_vectorized",
     "execute_cached",
     "failed_record",
 ]
@@ -80,89 +81,56 @@ def _batch_job(spec_dicts: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return [metrics_of(run) for run in run_batch_specs(specs)]
 
 
-def execute_batch_vectorized(
-    specs: Iterable[RunSpec],
-    store: Optional[Store] = None,
-    processes: int = 1,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> List[Dict[str, Any]]:
-    """Execute specs with eligible cells batched through the vectorized
-    engine, behind the same store dedupe/cache machinery as
-    :func:`execute_batch`.
+def _run_job(job: Any) -> Any:
+    """One :func:`execute_batch` job: a vectorized chunk (a list of spec
+    dicts) or a single spec dict.  The two job functions are looked up
+    at call time, so tests and tracers can swap them."""
+    if isinstance(job, list):
+        return _batch_job(job)
+    return _spec_job(job)
 
-    Specs are partitioned by their seed-free canonical identity
-    (:func:`~repro.spec.vectorized.batch_group_key`): groups of eligible
-    specs ride one :class:`~repro.sim.batch.engine.BatchSimulation` in
-    chunks of ``batch_size`` seeds, ineligible specs (adaptive
-    adversaries, consensus, instrumented runs, ...) delegate to the
-    per-trial path unchanged. Records come back in spec order; stored
-    hashes are cache hits and duplicate hashes execute once, exactly as
-    in the per-trial batch.
+
+def _vectorized_units(specs: List[RunSpec], store: Optional[Store],
+                      batch_size: int) -> List[Any]:
+    """Group a plain batch's pending specs into execution units.
+
+    Unstored specs are deduplicated by hash and partitioned by their
+    seed-free canonical identity
+    (:func:`~repro.spec.vectorized.batch_group_key`): groups of specs
+    *asking* for the batch engine ride one
+    :class:`~repro.sim.batch.engine.BatchSimulation` in chunks of at most
+    ``batch_size`` seeds (a list of specs per chunk); every other spec —
+    adaptive adversaries, consensus, instrumented runs, other engines —
+    is its own unit and keeps its scalar engine's bit-exact per-trial
+    execution.  Chunks come first, then the scalar specs.
     """
-    from ..experiments.pool import TrialPool
-    from ..spec.vectorized import batch_eligible, batch_group_key
-
-    specs = list(specs)
     pending: Dict[str, RunSpec] = {}
     for spec in specs:
         if store is None or spec.spec_hash not in store:
             pending.setdefault(spec.spec_hash, spec)
-
     groups: Dict[str, List[RunSpec]] = {}
-    scalar: List[RunSpec] = []
+    scalar: List[Any] = []
     for spec in pending.values():
-        # Only specs *asking* for the batch engine vectorize: anything
-        # else keeps its scalar engine's bit-exact per-trial execution.
-        if spec.engine == "batch" and batch_eligible(spec):
-            groups.setdefault(batch_group_key(spec), []).append(spec)
-        else:
-            scalar.append(spec)
+        if spec.engine == "batch":
+            # Lazy: the vectorized engine pulls in numpy, which batches
+            # without engine="batch" specs never need.
+            from ..spec.vectorized import batch_eligible, batch_group_key
 
-    from ..sim.batch import max_batch_trials
+            if batch_eligible(spec):
+                groups.setdefault(batch_group_key(spec), []).append(spec)
+                continue
+        scalar.append(spec)
+    chunks: List[Any] = []
+    if groups:
+        from ..sim.batch import max_batch_trials
 
-    chunks: List[List[RunSpec]] = []
-    for group in groups.values():
-        # Cap chunks so one group's packed state fits the memory budget
-        # (the I-payload arrays grow with n²).
-        size = max(1, min(int(batch_size), max_batch_trials(group[0].n)))
-        for i in range(0, len(group), size):
-            chunks.append(group[i : i + size])
-
-    fresh: Dict[str, Dict[str, Any]] = {}
-    if chunks:
-        jobs = [[spec.to_dict() for spec in chunk] for chunk in chunks]
-        if processes > 1 and len(chunks) > 1:
-            with TrialPool(processes) as pool:
-                chunk_metrics = pool.map(_batch_job, jobs)
-        else:
-            chunk_metrics = [_batch_job(job) for job in jobs]
-        for chunk, metrics_list in zip(chunks, chunk_metrics):
-            for spec, metrics in zip(chunk, metrics_list):
-                if store is not None:
-                    store.put(spec, metrics)
-                else:
-                    fresh[spec.spec_hash] = make_record(spec, metrics)
-    if scalar:
-        # Per-trial fallback, inline (delegating to execute_batch would
-        # bounce straight back here for engine="batch" specs). execute()
-        # still batch-routes any eligible spec as a batch of one.
-        jobs = [spec.to_dict() for spec in scalar]
-        if processes > 1 and len(scalar) > 1:
-            with TrialPool(processes) as pool:
-                results = pool.map(_spec_job, jobs)
-        else:
-            results = [_spec_job(job) for job in jobs]
-        for spec, metrics in zip(scalar, results):
-            if store is not None:
-                store.put(spec, metrics)
-            else:
-                fresh[spec.spec_hash] = make_record(spec, metrics)
-    if store is None:
-        return [fresh[spec.spec_hash] for spec in specs]
-    return [
-        store.get(spec.spec_hash) or fresh[spec.spec_hash]
-        for spec in specs
-    ]
+        for group in groups.values():
+            # Cap chunks so one group's packed state fits the memory
+            # budget (the I-payload arrays grow with n²).
+            size = max(1, min(int(batch_size), max_batch_trials(group[0].n)))
+            for i in range(0, len(group), size):
+                chunks.append(group[i : i + size])
+    return chunks + scalar
 
 
 def execute_batch(
@@ -181,13 +149,16 @@ def execute_batch(
     Specs travel to workers as their serialized dicts, so parallel
     batches need no pickling support beyond plain data.  Records come
     back in spec order; with a store, previously stored specs are cache
-    hits and duplicate hashes within the batch execute once.
+    hits and duplicate hashes within the batch execute once.  Every mode
+    runs through :func:`~repro.experiments.campaign.run_checkpointed_jobs`
+    with one :class:`~repro.experiments.pool.TrialPool`.
 
-    Specs requesting ``engine="batch"`` route through
-    :func:`execute_batch_vectorized` (eligible cells grouped and run
-    ``batch_size`` seeds per engine tick) unless the batch is
-    fault-tolerant or checkpointed, where execution stays per-trial —
-    ``execute()`` still vectorizes each eligible spec as a batch of one.
+    In a plain batch, specs requesting ``engine="batch"`` are grouped by
+    cell and run ``batch_size`` seeds per vectorized engine tick (see
+    :func:`_vectorized_units`).  A fault-tolerant or checkpointed batch
+    runs per trial — a group chunk is not a unit the fault machinery can
+    retry seed by seed — and ``execute()`` still vectorizes each
+    eligible spec as a batch of one.
 
     ``trial_timeout`` (seconds per spec) and ``retries`` switch the
     batch to partial-result mode: a spec whose execution hangs, raises,
@@ -201,72 +172,73 @@ def execute_batch(
     run in chunks, and after each chunk the manifest — which records
     every submitted spec (dict and hash), the completed/failed hashes,
     and the batch's RNG provenance — is atomically rewritten, at least
-    every ``checkpoint_every`` completions.  A batch killed mid-run can
+    every ``checkpoint_every`` completions.  With a store, the store
+    holds the results and the manifest only progress; without one, the
+    realized metrics live in the manifest.  A batch killed mid-run can
     then be resumed from the manifest alone and re-runs exactly the
     missing specs, seed for seed.  ``shutdown`` (a
     :class:`~repro.experiments.campaign.GracefulShutdown` or any
-    0-argument callable) is polled between submissions: when it turns
-    truthy the batch stops submitting, drains in-flight trials, flushes
-    the store, writes the manifest, and raises
+    0-argument callable; needs a ``manifest``) is polled between
+    submissions: when it turns truthy the batch stops submitting, drains
+    in-flight trials, flushes the store, writes the manifest, and raises
     :class:`~repro.experiments.campaign.CampaignDrained`.
     """
-    from ..experiments.pool import TrialPool
+    from ..experiments.campaign import run_checkpointed_jobs
 
     specs = list(specs)
-    if manifest is not None or shutdown is not None:
-        from ..experiments.campaign import run_manifest_batch
+    per_trial = (
+        manifest is not None or trial_timeout is not None or retries > 0
+    )
+    units = specs if per_trial else _vectorized_units(
+        specs, store, batch_size)
 
-        return run_manifest_batch(
-            specs, store=store, processes=processes,
-            trial_timeout=trial_timeout, retries=retries,
-            manifest=manifest, checkpoint_every=checkpoint_every,
-            shutdown=shutdown,
-        )
+    def landed(unit: Any, value: Any) -> Iterable[Tuple[RunSpec, Any]]:
+        """(spec, metrics) pairs of one finished unit."""
+        return zip(unit, value) if isinstance(unit, list) else [(unit, value)]
 
-    fault_tolerant = trial_timeout is not None or retries > 0
+    def sink(index: int, value: Any) -> None:
+        for spec, metrics in landed(units[index], value):
+            store.put(spec, metrics)
 
-    if not fault_tolerant and any(spec.engine == "batch" for spec in specs):
-        # Vectorized grouping handles dedupe/caching itself; per-spec
-        # timeouts/retries keep the per-trial path (a whole group is not
-        # a unit the fault machinery can retry seed-by-seed) — there,
-        # execute() still routes each eligible spec as a batch of one.
-        return execute_batch_vectorized(
-            specs, store=store, processes=processes, batch_size=batch_size,
-        )
-
-    def _run_jobs(pool, job_specs):
-        """Execute specs; returns (metrics-or-None list, outcome list)."""
-        jobs = [spec.to_dict() for spec in job_specs]
-        if not fault_tolerant:
-            return pool.map(_spec_job, jobs), None
-        outcomes = pool.map_outcomes(
-            _spec_job, jobs, timeout=trial_timeout, retries=retries,
-        )
-        return [o.value if o.ok else None for o in outcomes], outcomes
-
+    outcomes = run_checkpointed_jobs(
+        [
+            [spec.to_dict() for spec in unit] if isinstance(unit, list)
+            else unit.to_dict()
+            for unit in units
+        ],
+        _run_job,
+        keys=[
+            (unit[0] if isinstance(unit, list) else unit).spec_hash
+            for unit in units
+        ],
+        manifest=manifest,
+        meta={
+            "driver": "execute_batch",
+            "specs": len(specs),
+            "rng": {"seeds": sorted({spec.seed for spec in specs})},
+        },
+        done=(
+            (lambda index: units[index].spec_hash in store)
+            if per_trial and store is not None else None
+        ),
+        sink=sink if store is not None else None,
+        sync=store.sync if store is not None else None,
+        checkpoint_every=checkpoint_every,
+        shutdown=shutdown,
+        processes=processes,
+        trial_timeout=trial_timeout,
+        retries=retries,
+    )
+    fresh: Dict[str, Dict[str, Any]] = {}
+    for unit, outcome in zip(units, outcomes):
+        if not outcome.ok:
+            fresh[unit.spec_hash] = failed_record(unit, outcome)
+        elif store is None:
+            for spec, metrics in landed(unit, outcome.value):
+                fresh[spec.spec_hash] = make_record(spec, metrics)
     if store is None:
-        with TrialPool(processes) as pool:
-            metrics, outcomes = _run_jobs(pool, specs)
-        return [
-            make_record(spec, m) if m is not None
-            else failed_record(spec, outcomes[i])
-            for i, (spec, m) in enumerate(zip(specs, metrics))
-        ]
-    pending: Dict[str, RunSpec] = {}
-    for spec in specs:
-        if spec.spec_hash not in store:
-            pending.setdefault(spec.spec_hash, spec)
-    failures: Dict[str, Dict[str, Any]] = {}
-    if pending:
-        pending_specs = list(pending.values())
-        with TrialPool(processes) as pool:
-            results, outcomes = _run_jobs(pool, pending_specs)
-        for i, (spec, metrics) in enumerate(zip(pending_specs, results)):
-            if metrics is not None:
-                store.put(spec, metrics)
-            else:
-                failures[spec.spec_hash] = failed_record(spec, outcomes[i])
+        return [fresh[spec.spec_hash] for spec in specs]
     return [
-        store.get(spec.spec_hash) or failures[spec.spec_hash]
+        store.get(spec.spec_hash) or fresh[spec.spec_hash]
         for spec in specs
     ]

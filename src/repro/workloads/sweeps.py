@@ -39,19 +39,13 @@ def geometric_ns(start: int = 16, stop: int = 256, factor: int = 2
 
 
 def _job_spec(args):
-    """Split one sweep job into (RunSpec, params-object override).
+    """Split one 11-field sweep job into (RunSpec, params-object override).
 
     Serializable knobs live in the spec; an algorithm parameter *object*
     (e.g. :class:`SearsParams`) cannot, so it rides as an override.
-    The optional trailing ``engine``/``topology`` fields keep job tuples
-    from manifests written before those knobs decodable (9 fields =
-    ``engine="auto"``, 10 fields = complete topology).
     """
-    algorithm, n, f, d, delta, seed, crashes, params, max_steps, *rest = (
-        args
-    )
-    engine = rest[0] if rest else "auto"
-    topology = rest[1] if len(rest) > 1 else None
+    (algorithm, n, f, d, delta, seed, crashes, params, max_steps, engine,
+     topology) = args
     spec = RunSpec(
         kind="gossip", algorithm=algorithm, n=n, f=f, d=d, delta=delta,
         seed=seed, params=params if isinstance(params, dict) else None,
@@ -112,28 +106,27 @@ def sweep_gossip(
     per-phase wall-time breakdown; profiled sweeps run sequentially so
     the observer sees every step.
 
-    ``trial_timeout``/``retries`` route the runs through
-    :meth:`~repro.experiments.pool.TrialPool.map_outcomes`: a run that
-    hangs, raises, or kills its worker counts as a not-completed trial
-    in its cell's ``completion_rate`` instead of aborting the sweep.
+    ``trial_timeout``/``retries`` make the runs fault-tolerant: a run
+    that hangs, raises, or kills its worker counts as a not-completed
+    trial in its cell's ``completion_rate`` instead of aborting the
+    sweep.
 
     ``engine`` selects the execution strategy for every run.
-    ``"batch"`` additionally groups a plain sweep's eligible (cell,
-    seed) runs through the vectorized batched-trial engine
-    (:func:`repro.store.batch.execute_batch`), advancing many seeds of
-    one cell per engine tick; profiled, fault-tolerant, and
-    checkpointed sweeps keep per-trial execution, where ``execute``
-    still routes each eligible spec through the batch engine as a
-    batch of one.
+    ``"batch"`` additionally routes an unprofiled, unmanifested sweep
+    through :func:`repro.store.batch.execute_batch`, which groups a
+    plain batch's eligible (cell, seed) runs through the vectorized
+    batched-trial engine, advancing many seeds of one cell per engine
+    tick; elsewhere ``execute`` still routes each eligible spec through
+    the batch engine as a batch of one.
 
     ``manifest`` (path or
     :class:`~repro.experiments.campaign.CampaignManifest`) checkpoints
     the sweep: per-run results are persisted (atomically, at least
     every ``checkpoint_every`` completions) keyed by the run's
     parameters, so a sweep killed mid-way resumes seed-for-seed,
-    re-executing only the missing (n, seed) runs.  ``shutdown`` drains
-    the sweep on a graceful-stop request and raises
-    :class:`~repro.experiments.campaign.CampaignDrained`.
+    re-executing only the missing (n, seed) runs.  ``shutdown`` (needs a
+    ``manifest``) drains the sweep on a graceful-stop request and
+    raises :class:`~repro.experiments.campaign.CampaignDrained`.
 
     ``topology`` restricts every run to a communication graph (a family
     name or ``{"name": ..., **knobs}``); ``None``/``"complete"`` is the
@@ -141,8 +134,8 @@ def sweep_gossip(
     ``"batch"`` sweep over them transparently runs per-trial.
     """
     # Lazy import: repro.experiments.scaling imports this module, so a
-    # top-level import of the pool would be circular.
-    from ..experiments.pool import TrialPool
+    # top-level import of the campaign loop would be circular.
+    from ..experiments.campaign import run_checkpointed_jobs
 
     seeds = list(seeds)
     jobs = []
@@ -158,15 +151,27 @@ def sweep_gossip(
         outcomes = [
             run_and_profile(job, profile) for job in jobs
         ]
-    elif manifest is not None or shutdown is not None:
-        from ..experiments.campaign import run_checkpointed_jobs
+    elif engine == "batch" and manifest is None and all(
+        job[7] is None or isinstance(job[7], dict) for job in jobs
+    ):
+        # Vectorized grouping: same-cell seeds ride one batched engine
+        # tick; ineligible cells fall back per-trial inside the batch.
+        # (Params *objects* cannot ride a spec, and checkpointed sweeps
+        # key their manifests by run parameters, so both stay below.)
+        from ..store.batch import execute_batch
 
-        if manifest is None:
-            raise ValueError(
-                "sweep_gossip with a shutdown hook needs a manifest to "
-                "checkpoint into"
-            )
-        results = run_checkpointed_jobs(
+        records = execute_batch(
+            [_job_spec(job)[0] for job in jobs],
+            processes=processes, trial_timeout=trial_timeout,
+            retries=retries, shutdown=shutdown,
+        )
+        outcomes = [
+            (metrics["completed"], metrics.get("time"),
+             metrics.get("messages"))
+            for metrics in (record["metrics"] for record in records)
+        ]
+    else:
+        trials = run_checkpointed_jobs(
             jobs, _sweep_job,
             manifest=manifest,
             meta={
@@ -180,42 +185,11 @@ def sweep_gossip(
             processes=processes, trial_timeout=trial_timeout,
             retries=retries,
         )
-        # A failed (None) run aggregates as a not-completed trial.
-        outcomes = [
-            tuple(result) if result is not None else (False, None, None)
-            for result in results
-        ]
-    elif trial_timeout is not None or retries:
-        with TrialPool(processes) as pool:
-            trial_outcomes = pool.map_outcomes(
-                _sweep_job, jobs, timeout=trial_timeout, retries=retries,
-            )
         # A failed/timed-out trial aggregates as a not-completed run.
         outcomes = [
-            outcome.value if outcome.ok else (False, None, None)
-            for outcome in trial_outcomes
+            trial.value if trial.ok else (False, None, None)
+            for trial in trials
         ]
-    elif engine == "batch" and all(
-        job[7] is None or isinstance(job[7], dict) for job in jobs
-    ):
-        # Vectorized grouping: same-cell seeds ride one batched engine
-        # tick; ineligible cells fall back per-trial inside the batch.
-        # (Params *objects* cannot ride a spec, so such sweeps keep the
-        # per-trial pool below.)
-        from ..store.batch import execute_batch
-
-        records = execute_batch(
-            [_job_spec(job)[0] for job in jobs],
-            store=None, processes=processes,
-        )
-        outcomes = [
-            (record["metrics"]["completed"], record["metrics"]["time"],
-             record["metrics"]["messages"])
-            for record in records
-        ]
-    else:
-        with TrialPool(processes) as pool:
-            outcomes = pool.map(_sweep_job, jobs)
 
     points = []
     for index, n in enumerate(ns):

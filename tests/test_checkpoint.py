@@ -9,9 +9,13 @@ from repro.experiments import (
     CampaignDrained,
     CampaignManifest,
     GracefulShutdown,
+    GridRunner,
+    GridSpec,
+    register_recorder,
     run_checkpointed_jobs,
     run_theorem1,
 )
+from repro.experiments.pool import TrialPool
 from repro.spec import RunSpec
 from repro.store import RunStore, execute_batch
 from repro.workloads.sweeps import quarter, sweep_gossip
@@ -31,6 +35,29 @@ def _maybe_square(args):
 
 def _nested_tuple(args):
     return (args[0], (args[0], args[0] + 1))
+
+
+GRID_CALLS = []
+
+
+def _grid_counting_recorder(**params):
+    GRID_CALLS.append(dict(params))
+    return {"tripled": params["x"] * 3, "completed": True}
+
+
+register_recorder("checkpoint-counting", _grid_counting_recorder)
+
+
+def _stopped():
+    shutdown = GracefulShutdown(verbose=False)
+    shutdown.requested = True
+    return shutdown
+
+
+def _values(outcomes):
+    """The job values of a run_checkpointed_jobs outcome list (None for
+    jobs that did not succeed)."""
+    return [outcome.value if outcome.ok else None for outcome in outcomes]
 
 
 class TestManifest:
@@ -154,16 +181,21 @@ class TestCheckpointedJobs:
     def test_results_match_plain_map_and_resume_skips(self, tmp_path):
         path = str(tmp_path / "campaign.json")
         jobs = [(value,) for value in range(5)]
-        results = run_checkpointed_jobs(
+        outcomes = run_checkpointed_jobs(
             jobs, _square, manifest=path, checkpoint_every=2,
         )
+        results = _values(outcomes)
         assert results == [0, 1, 4, 9, 16]
+        assert [outcome.attempts for outcome in outcomes] == [1] * 5
 
         # Resume re-executes nothing: a poisoned job_fn proves it.
         def boom(args):
             raise AssertionError("resume must not re-run completed jobs")
 
-        assert run_checkpointed_jobs(jobs, boom, manifest=path) == results
+        resumed = run_checkpointed_jobs(jobs, boom, manifest=path)
+        assert _values(resumed) == results
+        # Jobs served from the manifest report that they did not run.
+        assert [outcome.attempts for outcome in resumed] == [0] * 5
 
     def test_fresh_and_resumed_results_share_shape(self, tmp_path):
         """Regression: fresh jobs returned raw values while resumed jobs
@@ -173,12 +205,13 @@ class TestCheckpointedJobs:
         path = str(tmp_path / "campaign.json")
         jobs = [(1,), (2,)]
         kwargs = dict(manifest=path, encode=list, decode=tuple)
-        fresh = run_checkpointed_jobs(jobs, _nested_tuple, **kwargs)
+        fresh = _values(run_checkpointed_jobs(jobs, _nested_tuple,
+                                              **kwargs))
 
         def boom(args):
             raise AssertionError("resume must not re-run completed jobs")
 
-        resumed = run_checkpointed_jobs(jobs, boom, **kwargs)
+        resumed = _values(run_checkpointed_jobs(jobs, boom, **kwargs))
         assert fresh == resumed
         # decode=tuple revives the outer tuple only; the nested tuple is
         # JSON-coerced to a list in both runs alike.
@@ -187,9 +220,9 @@ class TestCheckpointedJobs:
     def test_failed_jobs_stay_missing_and_retry(self, tmp_path):
         path = str(tmp_path / "campaign.json")
         jobs = [(2,), (-1,), (3,)]
-        results = run_checkpointed_jobs(
+        results = _values(run_checkpointed_jobs(
             jobs, _maybe_square, manifest=path, trial_timeout=30,
-        )
+        ))
         assert results == [4, None, 9]
         manifest = CampaignManifest.load(path)
         assert len(manifest.failed) == 1
@@ -202,8 +235,8 @@ class TestCheckpointedJobs:
             executed.append(args)
             return _square(args)
 
-        results = run_checkpointed_jobs(jobs, tracked, manifest=path,
-                                        trial_timeout=30)
+        results = _values(run_checkpointed_jobs(
+            jobs, tracked, manifest=path, trial_timeout=30))
         assert results == [4, 1, 9]
         assert executed == [(-1,)]  # only the failed job re-ran
 
@@ -235,7 +268,8 @@ class TestCheckpointedJobs:
         assert 0 < excinfo.value.completed < 6
         assert excinfo.value.completed + excinfo.value.remaining == 6
 
-        results = run_checkpointed_jobs(jobs, _square, manifest=path)
+        results = _values(run_checkpointed_jobs(jobs, _square,
+                                                manifest=path))
         assert results == [0, 1, 4, 9, 16, 25]
 
 
@@ -308,6 +342,93 @@ class TestCheckpointedBatch:
         ]
 
 
+class TestBatchModesAgree:
+    """Plain, fault-tolerant and checkpointed batches are one job loop
+    and return the same records."""
+
+    @staticmethod
+    def _mixed_specs():
+        batch = [SPEC.replace(seed=seed, engine="batch") for seed in range(3)]
+        return batch + [
+            SPEC.replace(algorithm="trivial", seed=1),
+            SPEC.replace(algorithm="sears", seed=2, engine="batch"),
+            batch[0],  # duplicate hash: executes once
+        ]
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_mixed_engines_plain_retries_checkpointed(self, tmp_path,
+                                                      processes):
+        specs = self._mixed_specs()
+        plain = execute_batch(specs, processes=processes, batch_size=2)
+        retried = execute_batch(specs, processes=processes, retries=1)
+        checkpointed = execute_batch(
+            specs, processes=processes,
+            manifest=str(tmp_path / "batch.json"), checkpoint_every=1,
+        )
+        assert [r["spec_hash"] for r in plain] == [
+            spec.spec_hash for spec in specs
+        ]
+        assert plain == retried == checkpointed
+        assert all(r["metrics"]["completed"] for r in plain)
+
+    def test_mixed_engines_into_a_store(self, tmp_path):
+        specs = self._mixed_specs()
+        stored = execute_batch(specs, store=RunStore(
+            str(tmp_path / "runs.jsonl")), processes=2, batch_size=2)
+        plain = execute_batch(specs, processes=1)
+        assert [r["metrics"] for r in stored] == [
+            r["metrics"] for r in plain
+        ]
+        assert len(RunStore(str(tmp_path / "runs.jsonl"))) == 5
+
+
+class TestCheckpointedGrid:
+    SPEC = GridSpec("ckpt", "checkpoint-counting",
+                    grid={"x": [1, 2, 3]}, seeds=[0, 1])
+
+    def test_drain_then_resume_runs_exactly_the_missing_cells(
+            self, tmp_path):
+        out_dir = str(tmp_path / "cells")
+        manifest_path = str(tmp_path / "grid.json")
+        partial = GridSpec("ckpt", "checkpoint-counting",
+                           grid={"x": [1]}, seeds=[0, 1])
+        GridRunner(out_dir=out_dir).run(partial)
+
+        GRID_CALLS.clear()
+        with pytest.raises(CampaignDrained) as excinfo:
+            GridRunner(out_dir=out_dir, manifest_path=manifest_path,
+                       shutdown=_stopped()).run(self.SPEC)
+        assert GRID_CALLS == []
+        assert excinfo.value.completed == 2  # back-filled from the cells
+        assert excinfo.value.remaining == 4
+        assert CampaignManifest.load(manifest_path).drained
+
+        rows = GridRunner(out_dir=out_dir,
+                          manifest_path=manifest_path).run(self.SPEC)
+        assert sorted((c["x"], c["seed"]) for c in GRID_CALLS) == [
+            (2, 0), (2, 1), (3, 0), (3, 1)
+        ]
+        assert [r["tripled"] for r in rows] == [3, 3, 6, 6, 9, 9]
+        manifest = CampaignManifest.load(manifest_path)
+        assert manifest.missing_keys() == [] and not manifest.drained
+        assert manifest.meta["driver"] == "grid"
+
+    def test_plain_retries_and_checkpointed_rows_agree(self, tmp_path):
+        spec = GridSpec(
+            "modes", "gossip",
+            grid={"algorithm": ["trivial", "ears"], "n": [12], "f": [3],
+                  "d": [1], "delta": [1]},
+            seeds=[0, 1],
+        )
+        plain = GridRunner().run(spec)
+        retried = GridRunner(retries=1).run(spec)
+        checkpointed = GridRunner(
+            manifest_path=str(tmp_path / "grid.json"),
+            checkpoint_every=1,
+        ).run(spec)
+        assert plain == retried == checkpointed
+
+
 class TestCheckpointedDrivers:
     def test_sweep_checkpointed_equals_plain(self, tmp_path):
         kwargs = dict(ns=[16, 32], f_of_n=quarter, seeds=range(2))
@@ -316,14 +437,36 @@ class TestCheckpointedDrivers:
         checkpointed = sweep_gossip("ears", manifest=manifest_path,
                                     **kwargs)
         assert checkpointed == plain
+        assert sweep_gossip("ears", retries=1, **kwargs) == plain
         meta = CampaignManifest.load(manifest_path).meta
         assert meta["driver"] == "sweep"
         assert meta["rng"] == {"seeds": [0, 1]}
 
-    def test_sweep_shutdown_requires_manifest(self):
+    @pytest.mark.parametrize("driver", [
+        "execute_batch", "GridRunner", "sweep_gossip", "run_theorem1",
+    ])
+    def test_shutdown_requires_manifest(self, driver, monkeypatch):
+        """One rule for every driver: a shutdown hook without a manifest
+        is refused with a ValueError before any job runs."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("no job may run")
+
+        monkeypatch.setattr(TrialPool, "map", no_work)
+        monkeypatch.setattr(TrialPool, "map_outcomes", no_work)
+        shutdown = GracefulShutdown(verbose=False)
+        calls = {
+            "execute_batch": lambda: execute_batch(
+                [SPEC], shutdown=shutdown),
+            "GridRunner": lambda: GridRunner(shutdown=shutdown).run(
+                TestCheckpointedGrid.SPEC),
+            "sweep_gossip": lambda: sweep_gossip(
+                "ears", ns=[16], f_of_n=quarter, shutdown=shutdown),
+            "run_theorem1": lambda: run_theorem1(
+                n=32, f=8, seeds=[0], algorithms=["trivial"],
+                shutdown=shutdown),
+        }
         with pytest.raises(ValueError, match="needs a manifest"):
-            sweep_gossip("ears", ns=[16], f_of_n=quarter,
-                         shutdown=GracefulShutdown(verbose=False))
+            calls[driver]()
 
     def test_theorem1_checkpointed_equals_plain(self, tmp_path):
         kwargs = dict(n=32, f=8, seeds=[0], algorithms=["trivial"],
@@ -334,6 +477,8 @@ class TestCheckpointedDrivers:
         assert len(checkpointed) == len(plain) == 1
         assert checkpointed[0].cases == plain[0].cases
         assert checkpointed[0].reports == plain[0].reports
+        retried = run_theorem1(retries=1, **kwargs)
+        assert retried[0].reports == plain[0].reports
 
         # Resume decodes the persisted reports instead of re-running.
         resumed = run_theorem1(manifest=manifest_path, **kwargs)
