@@ -36,8 +36,6 @@ from typing import List, Optional
 from .api import GOSSIP_ALGORITHMS, run_gossip
 from .consensus import run_consensus
 from .experiments import (
-    GridRunner,
-    GridSpec,
     aggregate,
     format_corollary2,
     format_scaling,
@@ -51,7 +49,6 @@ from .experiments import (
     run_table2,
     run_theorem1,
 )
-from .experiments.grid import gossip_recorder, register_recorder
 from .sim.events import StepProfiler
 from .workloads import SCENARIOS
 from .workloads.sweeps import (
@@ -67,22 +64,6 @@ _F_RULES = {
     "near-half": near_half,
     "three-quarters": three_quarters,
 }
-
-
-def _gossip_frac_recorder(**params):
-    """Grid recorder: like ``gossip`` but with f given as a fraction of n.
-
-    Registered at import time of this module so parallel grid workers
-    (which import ``repro.cli`` from the job's recorder-module field) can
-    resolve it even under spawn-style multiprocessing.
-    """
-    params = dict(params)
-    frac = params.pop("f_frac", 0.25)
-    params.setdefault("f", int(params["n"] * frac))
-    return gossip_recorder(**params)
-
-
-register_recorder("gossip-frac", _gossip_frac_recorder)
 
 
 def _add_fault_tolerance(parser: argparse.ArgumentParser) -> None:
@@ -144,6 +125,26 @@ def _parse_topology(args) -> "object":
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _open_store(args, path: str, **kwargs) -> "object":
+    """The artifact store at ``path``, loaded up front so that a file
+    which is not a spec store exits with code 2 before any work."""
+    import sqlite3
+
+    from .sim.errors import ConfigurationError
+    from .store import open_store
+
+    try:
+        store = open_store(path, backend=args.backend, **kwargs)
+        len(store)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    except sqlite3.DatabaseError as exc:
+        print(f"error: store {path!r}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return store
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -211,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "grid",
-        help="run a cached algorithm × n grid (JSONL cache, parallelizable)",
+        help="run an algorithm × n grid (a spec batch; cached in "
+             "--store, parallelizable)",
     )
     p.add_argument("--algorithms", default="ears,sears,tears",
                    help="comma-separated algorithm names")
@@ -224,14 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="failure bound as a fraction of n")
     p.add_argument("--seeds", type=int, default=2)
     _add_topology(p)
-    p.add_argument("--name", default="cli-grid",
-                   help="grid (and cache file) name")
-    p.add_argument("--out-dir", default=None,
-                   help="cell cache directory (no caching if omitted)")
-    p.add_argument("--backend", default="jsonl",
-                   choices=["jsonl", "sqlite"],
-                   help="cell cache format under --out-dir "
-                        "(default: jsonl)")
+    p.add_argument("--store", default=None,
+                   help="artifact store; stored spec hashes are cache "
+                        "hits and run no simulation (no caching if "
+                        "omitted)")
+    _add_backend(p)
     p.add_argument("--processes", type=int, default=1,
                    help="worker processes (default: sequential)")
     _add_fault_tolerance(p)
@@ -629,6 +628,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "grid":
+        from .experiments import CampaignDrained, GracefulShutdown
+        from .spec import RunSpec, execute
+        from .store import execute_batch, make_record, metrics_of
+        from .store.query import flatten_record
+
         if args.resume and args.profile:
             print("--resume and --profile cannot be combined: profiling "
                   "runs cells sequentially without checkpointing",
@@ -636,71 +640,64 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         algorithms = [a.strip() for a in args.algorithms.split(",")
                       if a.strip()]
+        for name in algorithms:
+            if name not in GOSSIP_ALGORITHMS:
+                print(f"error: {GOSSIP_ALGORITHMS.describe_miss(name)}",
+                      file=sys.stderr)
+                return 2
+        if not 0 <= args.f_frac < 1:
+            print(f"error: --f-frac must be in [0, 1), got {args.f_frac}",
+                  file=sys.stderr)
+            return 2
         ns = [int(x) for x in args.ns.split(",") if x.strip()]
-        grid = {"algorithm": algorithms, "n": ns, "d": [args.d],
-                "delta": [args.delta], "f_frac": [args.f_frac]}
         topology = _parse_topology(args)
-        if topology is not None:
-            # Only a non-default topology enters the grid axes, so
-            # existing cell caches (keyed by the cell params) stay valid.
-            grid["topology"] = [topology]
-        spec = GridSpec(
-            name=args.name,
-            recorder="gossip-frac",
-            grid=grid,
-            seeds=list(range(args.seeds)),
-        )
+        specs = [
+            RunSpec(kind="gossip", algorithm=algorithm, n=n, d=args.d,
+                    delta=args.delta, f=int(n * args.f_frac), seed=seed,
+                    topology=topology)
+            for algorithm in algorithms
+            for n in ns
+            for seed in range(args.seeds)
+        ]
+        profiler = None
         if args.profile:
             # Profiling wants the observer on every step of every cell, so
-            # run the cells directly (sequential, bypassing the cache).
+            # run the cells directly (sequential, bypassing the store).
             profiler = StepProfiler()
-            rows = []
-            for cell in spec.cells():
-                run = run_gossip(
-                    cell["algorithm"], n=cell["n"],
-                    f=int(cell["n"] * cell["f_frac"]),
-                    d=cell["d"], delta=cell["delta"], seed=cell["seed"],
-                    observers=(profiler,),
-                    topology=cell.get("topology"),
-                )
-                rows.append({
-                    "algorithm": cell["algorithm"], "n": cell["n"],
-                    "time": run.completion_time, "messages": run.messages,
-                })
-        elif args.resume:
-            from .experiments import CampaignDrained, GracefulShutdown
-
-            profiler = None
-            with GracefulShutdown() as shutdown:
-                runner = GridRunner(
-                    out_dir=args.out_dir,
-                    processes=args.processes,
-                    trial_timeout=args.trial_timeout,
-                    retries=args.retries,
-                    manifest_path=args.resume,
-                    checkpoint_every=args.checkpoint_every,
-                    shutdown=shutdown,
-                    backend=args.backend,
-                )
-                try:
-                    rows = runner.run(spec)
-                except CampaignDrained as exc:
-                    return _drained_exit(exc)
+            records = [
+                make_record(spec, metrics_of(
+                    execute(spec, observers=(profiler,))))
+                for spec in specs
+            ]
         else:
-            profiler = None
-            runner = GridRunner(out_dir=args.out_dir,
-                                processes=args.processes,
-                                trial_timeout=args.trial_timeout,
-                                retries=args.retries,
-                                backend=args.backend)
-            rows = runner.run(spec)
-        if profiler is None:
-            summary = runner.last_summary
-            if summary and (summary["failed"] or summary["timed_out"]):
-                print(f"partial grid: {summary['ok']}/{summary['jobs']} "
-                      f"cells ok, {summary['failed']} failed, "
-                      f"{summary['timed_out']} timed out "
-                      f"(failed cells stay uncached; re-run retries them)")
+            batch_kwargs = dict(
+                store=_open_store(args, args.store) if args.store else None,
+                processes=args.processes,
+                trial_timeout=args.trial_timeout, retries=args.retries,
+            )
+            if args.resume:
+                with GracefulShutdown() as shutdown:
+                    try:
+                        records = execute_batch(
+                            specs,
+                            manifest=args.resume,
+                            checkpoint_every=args.checkpoint_every,
+                            shutdown=shutdown,
+                            **batch_kwargs,
+                        )
+                    except CampaignDrained as exc:
+                        return _drained_exit(exc)
+            else:
+                records = execute_batch(specs, **batch_kwargs)
+        reasons = [record["metrics"]["reason"] for record in records
+                   if record.get("failed")]
+        if reasons:
+            timed_out = reasons.count("trial-timeout")
+            print(f"partial grid: {len(records) - len(reasons)}/"
+                  f"{len(records)} cells ok, {len(reasons) - timed_out} "
+                  f"failed, {timed_out} timed out "
+                  f"(failed cells stay uncached; re-run retries them)")
+        rows = [flatten_record(record) for record in records]
         time_by = aggregate(rows, ["algorithm", "n"], "time")
         msgs_by = aggregate(rows, ["algorithm", "n"], "messages")
         print(f"{'algorithm':>16s} {'n':>6s} {'time':>9s} {'messages':>11s}")
@@ -768,7 +765,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from .experiments import CampaignDrained, GracefulShutdown
         from .spec import RunSpec
-        from .store import execute_batch, open_store, shard_specs
+        from .store import execute_batch, shard_specs
 
         specs = RunSpec.load_many(args.specs)
         if args.shard:
@@ -784,7 +781,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"shard {index}/{count}: {len(specs)}/{total} spec(s)",
                   file=sys.stderr)
         store = (
-            open_store(args.store, backend=args.backend, fsync=args.fsync)
+            _open_store(args, args.store, fsync=args.fsync)
             if args.store else None
         )
         batch_kwargs = dict(
@@ -1141,12 +1138,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         import json as _json
 
         from .spec import RunSpec, execute
-        from .store import (
-            execute_cached,
-            make_record,
-            metrics_of,
-            open_store,
-        )
+        from .store import execute_cached, make_record, metrics_of
 
         spec = RunSpec.load(args.spec)
         if getattr(args, "topology", None) is not None:
@@ -1155,7 +1147,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             spec = spec.replace(topology=_parse_topology(args))
         if args.store:
             record, hit = execute_cached(
-                spec, open_store(args.store, backend=args.backend)
+                spec, _open_store(args, args.store)
             )
         else:
             record, hit = make_record(spec, metrics_of(execute(spec))), False

@@ -1,15 +1,15 @@
 """Campaign execution: the one job loop, checkpoints, graceful shutdown.
 
-A *campaign* is any long multi-trial driver — a spec batch, a grid, a
-population sweep, a Theorem 1 portfolio run.  Every one of them runs its
-jobs through the same loop, :func:`run_checkpointed_jobs`: submit the
-jobs, run them through one :class:`~repro.experiments.pool.TrialPool`
-(fail-fast ``map`` or fault-tolerant ``map_outcomes``), checkpoint, and
-drain on shutdown.  The drivers differ only in their jobs and in where
-results live — in the manifest (``sweep_gossip``, ``run_theorem1``,
-store-less batches) or in an artifact store, with the manifest tracking
-membership and progress (``execute_batch`` with a store, ``GridRunner``
-and its cell logs).  Around the loop:
+A *campaign* is any long multi-trial driver — a spec batch (a grid is
+one), a population sweep, a Theorem 1 portfolio run.  Every one of them
+runs its jobs through the same loop, :func:`run_checkpointed_jobs`:
+submit the jobs, run them through one
+:class:`~repro.experiments.pool.TrialPool` (fail-fast ``map`` or
+fault-tolerant ``map_outcomes``), checkpoint, and drain on shutdown.
+The drivers differ only in their jobs and in where results live — in
+the manifest (``sweep_gossip``, ``run_theorem1``, store-less batches)
+or in an artifact store, with the manifest tracking membership and
+progress (``execute_batch`` with a store).  Around the loop:
 
 * :class:`CampaignManifest` — a small JSON checkpoint, atomically
   replaced on a configurable cadence, recording every **submitted** job
@@ -106,10 +106,8 @@ def validate_checkpoint_every(value: Any) -> int:
 def job_key(payload: Any) -> str:
     """Canonical JSON identity of one job's parameters.
 
-    The same convention the grid cache uses (:func:`~repro.experiments.
-    grid.cell_key`): order- and representation-independent, so a job
-    submitted before a crash and its re-submission after resume key
-    identically.
+    Order- and representation-independent, so a job submitted before a
+    crash and its re-submission after resume key identically.
     """
     return json.dumps(payload, sort_keys=True, default=str)
 
@@ -370,7 +368,6 @@ def run_checkpointed_jobs(
     done: Optional[Callable[[int], bool]] = None,
     sink: Optional[Callable[[int, Any], None]] = None,
     sync: Optional[Callable[[], None]] = None,
-    fault_tolerant: bool = False,
     checkpoint_every: int = 8,
     shutdown: Optional[Callable[[], bool]] = None,
     processes: int = 1,
@@ -388,14 +385,13 @@ def run_checkpointed_jobs(
 
     Execution mode:
 
-    * **plain** (no ``manifest``, no ``trial_timeout``, no ``retries``,
-      not ``fault_tolerant``): one fail-fast
-      :meth:`~repro.experiments.pool.TrialPool.map` over every pending
-      job — the first job exception propagates;
-    * **fault-tolerant** (``trial_timeout``, ``retries`` or
-      ``fault_tolerant``): :meth:`~repro.experiments.pool.TrialPool.
-      map_outcomes`, so a job that hangs, raises or kills its worker
-      comes back ``failed``/``timed-out`` instead of aborting the rest;
+    * **plain** (no ``manifest``, no ``trial_timeout``, no ``retries``):
+      one fail-fast :meth:`~repro.experiments.pool.TrialPool.map` over
+      every pending job — the first job exception propagates;
+    * **fault-tolerant** (``trial_timeout`` or ``retries``):
+      :meth:`~repro.experiments.pool.TrialPool.map_outcomes`, so a job
+      that hangs, raises or kills its worker comes back
+      ``failed``/``timed-out`` instead of aborting the rest;
     * **checkpointed** (``manifest``, a path or a
       :class:`CampaignManifest`): pending jobs run in chunks of
       ``max(checkpoint_every, processes)``, and the manifest — every
@@ -456,7 +452,7 @@ def run_checkpointed_jobs(
         else:
             pending[key] = index
 
-    tolerant = fault_tolerant or trial_timeout is not None or retries > 0
+    tolerant = trial_timeout is not None or retries > 0
     work = list(pending.items())
     chunk_size = (
         max(manifest.checkpoint_every, processes)

@@ -1,13 +1,14 @@
 """A reusable, fault-tolerant worker pool for independent seeded trials.
 
-Every sweep-shaped driver in the repository — :class:`GridRunner` cells,
-:func:`repro.workloads.sweeps.sweep_gossip` points, the per-seed Theorem 1
-executions, spec batches, the lower-bound adversary's Monte-Carlo clone
-batch — has the same shape: a list of independent jobs whose results are
-combined in job order. :class:`TrialPool` is the one implementation of
-that shape.  The campaign drivers reach it through one job loop,
-:func:`repro.experiments.campaign.run_checkpointed_jobs`, which picks
-``map`` or ``map_outcomes`` and adds checkpointing and drain on top:
+Every sweep-shaped driver in the repository — spec batches (grids
+included), :func:`repro.workloads.sweeps.sweep_gossip` points, the
+per-seed Theorem 1 executions, the lower-bound adversary's Monte-Carlo
+clone batch — has the same shape: a list of independent jobs whose
+results are combined in job order. :class:`TrialPool` is the one
+implementation of that shape.  The campaign drivers reach it through
+one job loop, :func:`repro.experiments.campaign.run_checkpointed_jobs`,
+which picks ``map`` or ``map_outcomes`` and adds checkpointing and
+drain on top:
 
 * ``processes=1`` (the default) runs jobs inline, with zero setup cost and
   full determinism — results are bit-identical to a plain loop;
@@ -27,7 +28,7 @@ hung trial cannot stall the batch), bounded retries with capped backoff
 for transient failures, and worker-loss recovery (a died worker's pending
 jobs are resubmitted to a respawned pool without burning a retry).  It
 returns one :class:`TrialOutcome` per job — ``ok`` / ``failed`` /
-``timed-out`` with the attempt count and duration — so grid and sweep
+``timed-out`` with the attempt count and duration — so batch and sweep
 drivers degrade to partial results instead of crashing.
 
 Jobs submitted to ``map``/``map_outcomes`` must be module-level callables
@@ -42,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["TrialOutcome", "TrialPool", "summarize_outcomes"]
+__all__ = ["TrialOutcome", "TrialPool"]
 
 #: TrialOutcome.status values.
 OK = "ok"
@@ -74,28 +75,6 @@ class TrialOutcome:
     @property
     def ok(self) -> bool:
         return self.status == OK
-
-
-def summarize_outcomes(outcomes: Sequence[TrialOutcome]) -> Dict[str, Any]:
-    """Aggregate a batch's outcomes into the partial-result report dict.
-
-    This is the summary grids/sweeps print when cells fail: counts per
-    status, the indices (and terminal errors) of every non-ok job, the
-    total attempts, and the summed wall-clock duration.
-    """
-    failed = [o for o in outcomes if o.status == FAILED]
-    timed_out = [o for o in outcomes if o.status == TIMED_OUT]
-    return {
-        "jobs": len(outcomes),
-        "ok": sum(1 for o in outcomes if o.ok),
-        "failed": len(failed),
-        "timed_out": len(timed_out),
-        "cancelled": sum(1 for o in outcomes if o.status == CANCELLED),
-        "attempts": sum(o.attempts for o in outcomes),
-        "errors": {o.index: o.error for o in failed},
-        "timed_out_indices": [o.index for o in timed_out],
-        "duration": sum(o.duration for o in outcomes),
-    }
 
 
 class TrialPool:

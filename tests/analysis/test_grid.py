@@ -1,227 +1,82 @@
-"""Tests for the experiment-grid runner."""
+"""Tests for experiment grids: spec batches aggregated into tables."""
 
-import sys
+import time
 
-import pytest
+import repro.store.batch as batch_module
+from repro.cli import main
+from repro.experiments.grid import aggregate
+from repro.spec import RunSpec
+from repro.store import RunStore, execute_batch
 
-from repro.experiments.grid import (
-    _RECORDERS,
-    GridRunner,
-    GridSpec,
-    _run_cell,
-    aggregate,
-    canonicalize_params,
-    cell_key,
-    get_recorder,
-    register_recorder,
-)
+#: A grid the way ``repro grid`` builds it: algorithm × n × seeds.
+GRID = [
+    RunSpec(kind="gossip", algorithm="trivial", n=8, d=1, delta=1, f=2,
+            seed=seed)
+    for seed in range(4)
+]
 
-CALLS = []
-
-
-def counting_recorder(**params):
-    CALLS.append(dict(params))
-    return {"doubled": params["x"] * 2, "completed": True}
+_REAL_SPEC_JOB = batch_module._spec_job
 
 
-register_recorder("counting", counting_recorder)
-
-
-def misbehaving_recorder(**params):
-    """x == 1 raises, x == 2 hangs, everything else succeeds."""
-    import time
-
-    if params["x"] == 1:
+def _misbehaving(spec_dict):
+    """Seed 1 raises, seed 2 hangs, every other spec runs for real."""
+    if spec_dict["seed"] == 1:
         raise RuntimeError("cell exploded")
-    if params["x"] == 2:
+    if spec_dict["seed"] == 2:
         time.sleep(3600)
-    return {"completed": True, "value": params["x"]}
-
-
-register_recorder("misbehaving", misbehaving_recorder)
-
-
-class TestGridSpec:
-    def test_cells_cross_product_with_seeds(self):
-        spec = GridSpec("t", "counting",
-                        grid={"x": [1, 2], "y": ["a"]}, seeds=[0, 1])
-        cells = spec.cells()
-        assert len(cells) == 4
-        assert {"x": 1, "y": "a", "seed": 0} in cells
-
-    def test_cell_key_order_independent(self):
-        assert cell_key({"a": 1, "b": 2}) == cell_key({"b": 2, "a": 1})
-
-    def test_cell_key_matches_json_round_trip(self):
-        # A key computed from live Python params must equal the key of the
-        # same params after a JSONL round trip (tuples -> lists, int dict
-        # keys -> strings); otherwise reloads never hit the cache.
-        import json
-
-        params = {"pair": (2, 3), "plan": {0: [1]}, "seed": 0}
-        reloaded = json.loads(json.dumps(params, default=str))
-        assert cell_key(params) == cell_key(reloaded)
-
-    def test_canonicalize_params_normalizes_tuples(self):
-        assert canonicalize_params({"pair": (1, 2)}) == {"pair": [1, 2]}
-
-
-class TestGridRunner:
-    def test_runs_all_cells(self):
-        CALLS.clear()
-        spec = GridSpec("run-all", "counting", grid={"x": [1, 2, 3]},
-                        seeds=[0])
-        rows = GridRunner().run(spec)
-        assert len(rows) == 3
-        assert sorted(r["doubled"] for r in rows) == [2, 4, 6]
-        assert len(CALLS) == 3
-
-    def test_in_memory_cache_avoids_reruns(self):
-        CALLS.clear()
-        runner = GridRunner()
-        spec = GridSpec("cache", "counting", grid={"x": [5]}, seeds=[0, 1])
-        runner.run(spec)
-        assert len(CALLS) == 2
-        runner.run(spec)
-        assert len(CALLS) == 2  # nothing re-executed
-
-    def test_jsonl_persistence_across_runners(self, tmp_path):
-        CALLS.clear()
-        spec = GridSpec("persist", "counting", grid={"x": [1, 2]},
-                        seeds=[0])
-        GridRunner(out_dir=str(tmp_path)).run(spec)
-        assert len(CALLS) == 2
-        rows = GridRunner(out_dir=str(tmp_path)).run(spec)
-        assert len(CALLS) == 2  # loaded from disk
-        assert len(rows) == 2
-
-    def test_partial_grid_extension(self, tmp_path):
-        CALLS.clear()
-        runner = GridRunner(out_dir=str(tmp_path))
-        runner.run(GridSpec("extend", "counting", grid={"x": [1]},
-                            seeds=[0]))
-        bigger = GridSpec("extend", "counting", grid={"x": [1, 2]},
-                          seeds=[0])
-        assert runner.missing(bigger) == 1
-        runner.run(bigger)
-        assert len(CALLS) == 2
-
-    def test_unknown_recorder(self):
-        with pytest.raises(KeyError):
-            get_recorder("alchemy")
-
-    def test_tuple_valued_params_hit_cache_after_reload(self, tmp_path):
-        # Regression: tuple-valued params (e.g. a (d, delta) pair) must be
-        # cache hits when the JSONL store — where they come back as lists —
-        # is reloaded by a fresh runner.
-        CALLS.clear()
-        spec = GridSpec("tuples", "counting",
-                        grid={"x": [7], "pair": [(1, 2), (3, 4)]},
-                        seeds=[0])
-        GridRunner(out_dir=str(tmp_path)).run(spec)
-        assert len(CALLS) == 2
-        fresh = GridRunner(out_dir=str(tmp_path))
-        assert fresh.missing(spec) == 0
-        rows = fresh.run(spec)
-        assert len(CALLS) == 2  # all cells served from the reloaded store
-        assert len(rows) == 2
-
-    def test_parallel_run_matches_sequential(self, tmp_path):
-        spec = GridSpec(
-            "par", "gossip",
-            grid={"algorithm": ["trivial"], "n": [8, 12], "f": [0],
-                  "d": [1], "delta": [1]},
-            seeds=[0],
-        )
-        sequential = GridRunner().run(spec)
-        parallel = GridRunner(processes=2).run(spec)
-        assert sequential == parallel
+    return _REAL_SPEC_JOB(spec_dict)
 
 
 class TestFaultTolerantGrid:
-    """Cells that hang or raise degrade to failure rows, not crashes."""
+    """Specs that hang or raise degrade to failed records, not crashes."""
 
-    def test_partial_results_and_store_resume(self, tmp_path):
-        spec = GridSpec("chaos", "misbehaving", grid={"x": [0, 1, 2, 3]},
-                        seeds=[0])
-        runner = GridRunner(out_dir=str(tmp_path), processes=2,
-                            trial_timeout=1.0)
-        rows = runner.run(spec)
-        by_x = {r["x"]: r for r in rows}
-        assert by_x[0]["completed"] and by_x[0]["value"] == 0
-        assert by_x[3]["completed"] and by_x[3]["value"] == 3
-        assert not by_x[1]["completed"]
-        assert by_x[1]["reason"] == "trial-failed"
-        assert "cell exploded" in by_x[1]["error"]
-        assert not by_x[2]["completed"]
-        assert by_x[2]["reason"] == "trial-timeout"
-        summary = runner.last_summary
-        assert summary["ok"] == 2
-        assert summary["failed"] == 1
-        assert summary["timed_out"] == 1
-        # Failure rows never reach the store: a fresh runner sees exactly
-        # the failed cells as missing and would retry only those.
-        fresh = GridRunner(out_dir=str(tmp_path))
-        assert fresh.missing(spec) == 2
+    def test_partial_results_and_store_resume(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "grid.jsonl")
+        monkeypatch.setattr(batch_module, "_spec_job", _misbehaving)
+        records = execute_batch(GRID, store=RunStore(path), processes=2,
+                                trial_timeout=1.0)
+        by_seed = {r["spec"]["seed"]: r for r in records}
+        for seed in (0, 3):
+            assert not by_seed[seed].get("failed")
+            assert by_seed[seed]["metrics"]["completed"]
+        assert by_seed[1]["failed"]
+        assert by_seed[1]["metrics"]["reason"] == "trial-failed"
+        assert "cell exploded" in by_seed[1]["metrics"]["error"]
+        assert by_seed[2]["failed"]
+        assert by_seed[2]["metrics"]["reason"] == "trial-timeout"
 
-    def test_clean_grid_leaves_no_summary_on_cache_hit(self, tmp_path):
-        spec = GridSpec("clean", "counting", grid={"x": [4]}, seeds=[0])
-        runner = GridRunner(out_dir=str(tmp_path), trial_timeout=5.0)
-        runner.run(spec)
-        assert runner.last_summary["ok"] == 1
-        runner.run(spec)  # pure cache hit
-        assert runner.last_summary is None
+        # Failed records never reach the store, so a re-run executes
+        # exactly the failed specs.
+        store = RunStore(path)
+        assert len(store) == 2
+        assert GRID[1].spec_hash not in store
+        assert GRID[2].spec_hash not in store
+        executed = []
 
+        def spy(spec_dict):
+            executed.append(spec_dict["seed"])
+            return _REAL_SPEC_JOB(spec_dict)
 
-class TestRecorderShipping:
-    """Parallel cells resolve recorders inside the worker process."""
+        monkeypatch.setattr(batch_module, "_spec_job", spy)
+        records = execute_batch(GRID, store=RunStore(path))
+        assert sorted(executed) == [1, 2]
+        assert not any(r.get("failed") for r in records)
 
-    def test_run_cell_reimports_recorder_module(self):
-        # Simulate a spawn-started worker: empty registry, module not yet
-        # imported. _run_cell must import the shipped module (whose import
-        # re-registers) and execute the cell.
-        module = "tests.analysis._recorder_fixture"
-        _RECORDERS.pop("fixture-recorder", None)
-        sys.modules.pop(module, None)
-        params, record = _run_cell(
-            ("fixture-recorder", module, {"x": 21, "seed": 0})
-        )
-        assert record == {"tripled": 63}
-        assert "fixture-recorder" in _RECORDERS
+    def test_clean_grid_leaves_no_summary_on_cache_hit(
+            self, tmp_path, capsys, monkeypatch):
+        argv = ["grid", "--algorithms", "trivial", "--ns", "8",
+                "--seeds", "1", "--store", str(tmp_path / "grid.jsonl"),
+                "--trial-timeout", "5"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
 
-    def test_run_cell_fails_fast_when_import_does_not_register(self):
-        _RECORDERS.pop("ghost", None)
-        with pytest.raises(KeyError, match="register_recorder"):
-            _run_cell(("ghost", "json", {"x": 1}))
+        def no_work(spec_dict):
+            raise AssertionError("a cached grid must not execute")
 
-    def test_run_cell_fails_fast_without_module(self):
-        _RECORDERS.pop("ghost", None)
-        with pytest.raises(KeyError, match="not registered"):
-            _run_cell(("ghost", "", {"x": 1}))
-
-
-class TestBuiltInRecorders:
-    def test_gossip_recorder_end_to_end(self):
-        spec = GridSpec(
-            "gossip-grid", "gossip",
-            grid={"algorithm": ["trivial", "ears"], "n": [12],
-                  "f": [3], "d": [1], "delta": [1]},
-            seeds=[0, 1],
-        )
-        rows = GridRunner().run(spec)
-        assert len(rows) == 4
-        assert all(r["completed"] for r in rows)
-        trivial_rows = [r for r in rows if r["algorithm"] == "trivial"]
-        assert all(r["messages"] == 12 * 11 for r in trivial_rows)
-
-    def test_consensus_recorder_end_to_end(self):
-        spec = GridSpec(
-            "consensus-grid", "consensus",
-            grid={"gossip": ["all-to-all"], "n": [8], "f": [3]},
-            seeds=[0],
-        )
-        rows = GridRunner().run(spec)
-        assert rows[0]["agreement"] and rows[0]["validity"]
+        monkeypatch.setattr(batch_module, "_spec_job", no_work)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert "partial grid" not in first
 
 
 class TestAggregate:

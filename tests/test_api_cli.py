@@ -116,14 +116,66 @@ class TestCli:
         out = capsys.readouterr().out
         assert "trivial" in out and "ears" in out
 
-    def test_grid_command_cached_and_parallel(self, capsys, tmp_path):
+    @pytest.mark.parametrize("store", ["grid.jsonl", "grid.sqlite"])
+    def test_grid_command_cached_and_parallel(
+            self, capsys, tmp_path, monkeypatch, store):
+        import repro.store.batch as batch_module
+        from repro.store import open_store
+
+        path = str(tmp_path / store)
         argv = ["grid", "--algorithms", "trivial", "--ns", "8,12",
-                "--seeds", "1", "--out-dir", str(tmp_path),
-                "--processes", "2"]
+                "--seeds", "1", "--store", path, "--processes", "2"]
         assert main(argv) == 0
         first = capsys.readouterr().out
+        assert len(open_store(path)) == 2
+
+        def no_work(spec_dict):
+            raise AssertionError("a cached grid must not execute")
+
+        monkeypatch.setattr(batch_module, "_spec_job", no_work)
         assert main(argv) == 0  # second run: every cell a cache hit
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--algorithms", "ears,eras"],
+         "unknown gossip algorithm 'eras'"),
+        (["--f-frac", "1.5"], "--f-frac must be in [0, 1)"),
+    ])
+    def test_grid_command_rejects_bad_input(
+            self, capsys, monkeypatch, flags, message):
+        import repro.store.batch as batch_module
+
+        def no_work(spec_dict):
+            raise AssertionError("bad input must be refused before work")
+
+        monkeypatch.setattr(batch_module, "_spec_job", no_work)
+        assert main(["grid", "--ns", "8", "--seeds", "1"] + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_grid_command_reports_partial_grid(
+            self, capsys, tmp_path, monkeypatch):
+        import repro.store.batch as batch_module
+
+        real_job = batch_module._spec_job
+
+        def flaky(spec_dict):
+            if spec_dict["seed"] == 1:
+                raise RuntimeError("cell exploded")
+            return real_job(spec_dict)
+
+        monkeypatch.setattr(batch_module, "_spec_job", flaky)
+        argv = ["grid", "--algorithms", "trivial", "--ns", "8",
+                "--seeds", "2", "--store", str(tmp_path / "grid.jsonl"),
+                "--retries", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert ("partial grid: 1/2 cells ok, 1 failed, 0 timed out "
+                "(failed cells stay uncached; re-run retries them)") in out
+        assert "trivial" in out
+        monkeypatch.setattr(batch_module, "_spec_job", real_job)
+        assert main(argv) == 0  # the failed cell runs again and lands
+        assert "partial grid" not in capsys.readouterr().out
 
     def test_grid_command_profile(self, capsys):
         assert main(["grid", "--algorithms", "trivial", "--ns", "8",
@@ -220,6 +272,33 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["spec_hash"] == spec.spec_hash
         assert record["metrics"]["completed"] is True
+
+    @pytest.mark.parametrize("command", ["run", "batch", "grid"])
+    def test_store_that_is_not_a_spec_store_exits_2(
+            self, capsys, tmp_path, command):
+        import json
+
+        from repro.spec import RunSpec
+
+        spec_path = tmp_path / "spec.json"
+        RunSpec(algorithm="trivial", n=8, seed=0).save(str(spec_path))
+        # A grid cell log from an older build: no schema stamp.
+        store = tmp_path / "cells.jsonl"
+        store.write_text(json.dumps({"params": {"n": 8},
+                                     "record": {"time": 2}}) + "\n")
+        argv = {
+            "run": ["run", "--spec", str(spec_path)],
+            "batch": ["batch", "--specs", str(spec_path)],
+            "grid": ["grid", "--algorithms", "trivial", "--ns", "8",
+                     "--seeds", "1"],
+        }[command] + ["--store", str(store)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: store ")
+        assert "schema version None" in captured.err
+        assert captured.out == ""
 
     def test_run_command_example_spec(self, capsys):
         import os

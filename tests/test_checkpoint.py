@@ -5,13 +5,14 @@ import signal
 
 import pytest
 
+import repro.experiments
+import repro.store.batch as batch_module
+from repro.cli import main
 from repro.experiments import (
     CampaignDrained,
     CampaignManifest,
+    DRAIN_EXIT_CODE,
     GracefulShutdown,
-    GridRunner,
-    GridSpec,
-    register_recorder,
     run_checkpointed_jobs,
     run_theorem1,
 )
@@ -35,17 +36,6 @@ def _maybe_square(args):
 
 def _nested_tuple(args):
     return (args[0], (args[0], args[0] + 1))
-
-
-GRID_CALLS = []
-
-
-def _grid_counting_recorder(**params):
-    GRID_CALLS.append(dict(params))
-    return {"tripled": params["x"] * 3, "completed": True}
-
-
-register_recorder("checkpoint-counting", _grid_counting_recorder)
 
 
 def _stopped():
@@ -383,50 +373,63 @@ class TestBatchModesAgree:
 
 
 class TestCheckpointedGrid:
-    SPEC = GridSpec("ckpt", "checkpoint-counting",
-                    grid={"x": [1, 2, 3]}, seeds=[0, 1])
+    GRID = ["grid", "--algorithms", "trivial", "--seeds", "2"]
 
     def test_drain_then_resume_runs_exactly_the_missing_cells(
-            self, tmp_path):
-        out_dir = str(tmp_path / "cells")
+            self, tmp_path, capsys, monkeypatch):
+        store = str(tmp_path / "grid.jsonl")
         manifest_path = str(tmp_path / "grid.json")
-        partial = GridSpec("ckpt", "checkpoint-counting",
-                           grid={"x": [1]}, seeds=[0, 1])
-        GridRunner(out_dir=out_dir).run(partial)
+        argv = self.GRID + ["--ns", "8,12,16", "--store", store,
+                            "--resume", manifest_path]
+        assert main(self.GRID + ["--ns", "8", "--store", store]) == 0
+        capsys.readouterr()
 
-        GRID_CALLS.clear()
-        with pytest.raises(CampaignDrained) as excinfo:
-            GridRunner(out_dir=out_dir, manifest_path=manifest_path,
-                       shutdown=_stopped()).run(self.SPEC)
-        assert GRID_CALLS == []
-        assert excinfo.value.completed == 2  # back-filled from the cells
-        assert excinfo.value.remaining == 4
-        assert CampaignManifest.load(manifest_path).drained
+        class Requested(GracefulShutdown):
+            def __init__(self):
+                super().__init__(verbose=False)
+                self.requested = True
 
-        rows = GridRunner(out_dir=out_dir,
-                          manifest_path=manifest_path).run(self.SPEC)
-        assert sorted((c["x"], c["seed"]) for c in GRID_CALLS) == [
-            (2, 0), (2, 1), (3, 0), (3, 1)
-        ]
-        assert [r["tripled"] for r in rows] == [3, 3, 6, 6, 9, 9]
+        executed = []
+        real_job = batch_module._spec_job
+
+        def spy(spec_dict):
+            executed.append((spec_dict["n"], spec_dict["seed"]))
+            return real_job(spec_dict)
+
+        monkeypatch.setattr(batch_module, "_spec_job", spy)
+        monkeypatch.setattr(repro.experiments, "GracefulShutdown",
+                            Requested)
+        assert main(argv) == DRAIN_EXIT_CODE
+        assert executed == []
+        manifest = CampaignManifest.load(manifest_path)
+        assert manifest.drained
+        summary = manifest.summary()
+        assert summary["completed"] == 2  # back-filled from the store
+        assert summary["missing"] == 4
+        capsys.readouterr()
+
+        monkeypatch.setattr(repro.experiments, "GracefulShutdown",
+                            GracefulShutdown)
+        assert main(argv) == 0
+        resumed = capsys.readouterr().out
+        assert sorted(executed) == [(12, 0), (12, 1), (16, 0), (16, 1)]
         manifest = CampaignManifest.load(manifest_path)
         assert manifest.missing_keys() == [] and not manifest.drained
-        assert manifest.meta["driver"] == "grid"
+        assert main(self.GRID + ["--ns", "8,12,16"]) == 0
+        assert capsys.readouterr().out == resumed
 
-    def test_plain_retries_and_checkpointed_rows_agree(self, tmp_path):
-        spec = GridSpec(
-            "modes", "gossip",
-            grid={"algorithm": ["trivial", "ears"], "n": [12], "f": [3],
-                  "d": [1], "delta": [1]},
-            seeds=[0, 1],
-        )
-        plain = GridRunner().run(spec)
-        retried = GridRunner(retries=1).run(spec)
-        checkpointed = GridRunner(
-            manifest_path=str(tmp_path / "grid.json"),
-            checkpoint_every=1,
-        ).run(spec)
-        assert plain == retried == checkpointed
+    def test_plain_retries_and_checkpointed_rows_agree(
+            self, tmp_path, capsys):
+        argv = ["grid", "--algorithms", "trivial,ears", "--ns", "12",
+                "--seeds", "2"]
+        tables = []
+        for extra in ([], ["--retries", "1"],
+                      ["--resume", str(tmp_path / "grid.json"),
+                       "--checkpoint-every", "1"]):
+            assert main(argv + extra) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] == tables[2]
+        assert "trivial" in tables[0] and "ears" in tables[0]
 
 
 class TestCheckpointedDrivers:
@@ -443,7 +446,7 @@ class TestCheckpointedDrivers:
         assert meta["rng"] == {"seeds": [0, 1]}
 
     @pytest.mark.parametrize("driver", [
-        "execute_batch", "GridRunner", "sweep_gossip", "run_theorem1",
+        "execute_batch", "sweep_gossip", "run_theorem1",
     ])
     def test_shutdown_requires_manifest(self, driver, monkeypatch):
         """One rule for every driver: a shutdown hook without a manifest
@@ -457,8 +460,6 @@ class TestCheckpointedDrivers:
         calls = {
             "execute_batch": lambda: execute_batch(
                 [SPEC], shutdown=shutdown),
-            "GridRunner": lambda: GridRunner(shutdown=shutdown).run(
-                TestCheckpointedGrid.SPEC),
             "sweep_gossip": lambda: sweep_gossip(
                 "ears", ns=[16], f_of_n=quarter, shutdown=shutdown),
             "run_theorem1": lambda: run_theorem1(
